@@ -84,10 +84,9 @@ class CrossLinkState:
         recorded set, record ``selected`` so that crossing link can never be
         chosen later.  Returns True when ``selected`` was recorded.
         """
-        for crosser in self.topo.cross_links(selected):
-            if not self.is_excluded(crosser):
-                return self.record(selected)
-        return False
+        if self.topo.cross_links(selected) <= self._excluded:
+            return False
+        return self.record(selected)
 
     def recorded_links(self) -> Set[Link]:
         """The current contents of ``cross_link`` as a set."""

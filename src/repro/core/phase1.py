@@ -28,7 +28,7 @@ from ..simulator import (
 )
 from ..topology import Link, Topology
 from .constraints import CrossLinkState
-from .sweep import select_next_hop
+from .sweep import select_link
 
 
 @dataclass
@@ -57,8 +57,9 @@ class Phase1Result:
     #: Table I tabulates them.
     field_trace: List[tuple] = field(default_factory=list)
     #: Whether the walk ran to completion.  False only in degraded mode:
-    #: the packet was lost in flight or the walk was truncated at its hop
-    #: budget, so the collected set may be arbitrarily incomplete.
+    #: the packet was lost in flight, the walk was truncated at its hop
+    #: budget, or a mid-walk failure stranded it away from the initiator,
+    #: so the collected set may be arbitrarily incomplete.
     complete: bool = True
     #: Why an incomplete walk ended (``None`` when complete).
     incomplete_reason: Optional[str] = None
@@ -131,10 +132,10 @@ def run_phase1(
 
     local_failed = [Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)]
 
-    start_hop = select_next_hop(
+    start_link = select_link(
         topo, view, initiator, trigger_neighbor, exclusion, clockwise
     )
-    if start_hop is None:
+    if start_link is None:
         # Isolated initiator: nothing to collect, the walk is empty.
         return Phase1Result(
             initiator=initiator,
@@ -146,14 +147,25 @@ def run_phase1(
             duration=0.0,
         )
 
+    start_hop = start_link.other(initiator)
     previous = {"node": initiator}
     done = {"flag": False}
+    # Node where the sweep found no live neighbor before returning home.
+    dead_end: List[int] = []
     field_trace: List[tuple] = []
+    fields = {"failed": (), "cross": ()}
 
     def snapshot(node: int) -> None:
-        field_trace.append(
-            (node, tuple(header.failed_links), tuple(header.cross_links))
-        )
+        # The two fields change on few hops, so consecutive snapshots share
+        # one tuple while its contents are unchanged: the trace stays small
+        # and the walk leaves far fewer objects for the garbage collector.
+        failed = tuple(header.failed_links)
+        if failed != fields["failed"]:
+            fields["failed"] = failed
+        cross = tuple(header.cross_links)
+        if cross != fields["cross"]:
+            fields["cross"] = cross
+        field_trace.append((node, fields["failed"], fields["cross"]))
 
     def decide(current: int, pkt: Packet) -> Optional[int]:
         if done["flag"]:
@@ -162,17 +174,22 @@ def run_phase1(
         if current == initiator and pkt.recovery_hops == 0:
             # Initial transmission toward the already-selected first hop.
             if use_constraints:
-                constraints.after_selection(Link.of(initiator, start_hop))
+                constraints.after_selection(start_link)
             previous["node"] = current
             snapshot(current)
             return start_hop
-        next_node = select_next_hop(
+        link = select_link(
             topo, view, current, previous["node"], exclusion, clockwise
         )
-        if next_node is None:
-            # Unreachable in theory (previous hop always qualifies); be safe.
+        if link is None:
+            # The previous hop always qualifies unless a mid-walk failure
+            # cut it: away from the initiator that is a dead end, not a
+            # finished walk.
+            if current != initiator:
+                dead_end.append(current)
             snapshot(current)
             return None
+        next_node = link.other(current)
         if current == initiator:
             # §III-C item 3: back at the initiator — stop when the sweep
             # would re-select the first hop, otherwise keep going so no
@@ -182,7 +199,7 @@ def run_phase1(
                 snapshot(current)
                 return None
         if use_constraints:
-            constraints.after_selection(Link.of(current, next_node))
+            constraints.after_selection(link)
         previous["node"] = current
         snapshot(current)
         return next_node
@@ -200,6 +217,15 @@ def run_phase1(
             f"phase-1 packet of {initiator} lost at {outcome.drop_node}: "
             f"{outcome.drop_reason}"
         )
+    complete, incomplete_reason = outcome.completed, outcome.drop_reason
+    if dead_end:
+        incomplete_reason = (
+            f"phase-1 walk of {initiator} stranded at {dead_end[0]}: "
+            "no live neighbor left to sweep to"
+        )
+        if strict:
+            raise SimulationError(incomplete_reason)
+        complete = False
     return Phase1Result(
         initiator=initiator,
         walk=outcome.visited,
@@ -210,6 +236,6 @@ def run_phase1(
         duration=accounting.clock,
         header_timeline=list(accounting.header_timeline),
         field_trace=field_trace,
-        complete=outcome.completed,
-        incomplete_reason=outcome.drop_reason,
+        complete=complete,
+        incomplete_reason=incomplete_reason,
     )

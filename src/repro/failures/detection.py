@@ -52,10 +52,18 @@ class LocalView:
         """Neighbors ``node`` has locally detected as unreachable (cached)."""
         cached = self._unreachable.get(node)
         if cached is None:
+            # One flag probe per arc, in adjacency order — the same answers
+            # as ``is_neighbor_reachable`` on each neighbor.
+            csr = self.topo.csr()
+            i = csr.pos.get(node)
+            if i is None:
+                raise UnknownNodeError(node)
+            failed = self.scenario.failed_link_flags()
+            ids, nbr, lid = csr.ids, csr.nbr, csr.lid
             cached = [
-                nb
-                for nb in self.topo.neighbors(node)
-                if not self.is_neighbor_reachable(node, nb)
+                ids[nbr[arc]]
+                for arc in range(csr.indptr[i], csr.indptr[i + 1])
+                if failed[lid[arc]]
             ]
             self._unreachable[node] = cached
         return cached

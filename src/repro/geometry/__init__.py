@@ -6,7 +6,15 @@ predicates for the ``cross_link`` constraints, failure-area regions, convex
 hulls, and precomputation of per-link crossing sets.
 """
 
-from .point import EPSILON, TWO_PI, Point, ccw_angle, centroid, orientation
+from .point import (
+    EPSILON,
+    TWO_PI,
+    Point,
+    ccw_angle,
+    ccw_angle_between,
+    centroid,
+    orientation,
+)
 from .segment import Segment, intersection_point, segments_cross, segments_intersect
 from .region import Circle, FailureRegion, HalfPlane, Polygon, UnionRegion
 from .hull import convex_hull, polygon_contains
@@ -17,6 +25,7 @@ __all__ = [
     "TWO_PI",
     "Point",
     "ccw_angle",
+    "ccw_angle_between",
     "centroid",
     "orientation",
     "Segment",

@@ -60,7 +60,13 @@ class Point(NamedTuple):
         return math.hypot(self.x - other.x, self.y - other.y)
 
     def angle(self) -> float:
-        """Direction of this vector in radians, in ``[0, 2*pi)``."""
+        """Direction of this vector in radians, in ``[0, 2*pi]``.
+
+        Mathematically ``[0, 2*pi)``, but the float modulo rounds up to
+        exactly ``2*pi`` for vectors just below the +x axis
+        (``Point(1.0, -1e-17).angle() == 2*pi``).  Callers that compare
+        directions must treat ``2*pi`` and ``0`` as the same direction.
+        """
         return math.atan2(self.y, self.x) % TWO_PI
 
     def is_close(self, other: "Point", tol: float = EPSILON) -> bool:
@@ -93,7 +99,12 @@ def ccw_angle(reference: Point, target: Point) -> float:
     previous hop only when no other live neighbor exists (the tree-branch
     double-traversal behaviour of §IV-B).
     """
-    angle = (target.angle() - reference.angle()) % TWO_PI
+    return ccw_angle_between(reference.angle(), target.angle())
+
+
+def ccw_angle_between(reference: float, target: float) -> float:
+    """:func:`ccw_angle` from the two vectors' absolute angles (``Point.angle``)."""
+    angle = (target - reference) % TWO_PI
     if angle <= EPSILON:
         return TWO_PI
     return angle

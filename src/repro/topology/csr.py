@@ -52,6 +52,9 @@ class CSRView:
         Arc -> interned link id (the topology's dense header link index).
     pair_lid:
         ``(u, v)`` node-id pair (both directions) -> interned link id.
+    sweep:
+        Node id -> the node's right-hand-rule sweep table (neighbors sorted
+        by absolute angle), filled lazily by :mod:`repro.core.sweep`.
     """
 
     __slots__ = (
@@ -68,6 +71,7 @@ class CSRView:
         "lid_size",
         "np_cache",
         "walk_np",
+        "sweep",
     )
 
     def __init__(self, topo: "Topology", version: int) -> None:
@@ -116,6 +120,9 @@ class CSRView:
         #: Lazily built pair-index cache for the batched walk plane
         #: (``repro.simulator.batch._pair_index``).  ``None`` until first use.
         self.walk_np = None
+        #: Per-node sweep tables of RTR's right-hand rule
+        #: (``repro.core.sweep.sweep_entry``), filled on first visit.
+        self.sweep: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Exclusion flags and signatures

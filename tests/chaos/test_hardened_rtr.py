@@ -1,17 +1,21 @@
 """Tests for the hardened RTR pipeline under injected faults.
 
-Covers every rung of the fallback ladder: phase-1 retry with backoff,
-§III-D re-invocation after a phase-2 drop at a secondary failure, and the
-OSPF-reconvergence fallback when RTR itself cannot complete — plus the
-guarantee that a null/absent plan leaves the paper's behaviour untouched.
+Covers every rung of the fallback ladder: phase-1 retry with backoff
+(including a walk stranded by a mid-walk flap), §III-D re-invocation
+after a phase-2 drop at a secondary failure, and the OSPF-reconvergence
+fallback when RTR itself cannot complete — plus the guarantee that a
+null/absent plan leaves the paper's behaviour untouched.
 """
 
 import pytest
 
 from repro.chaos import FaultPlan, SecondaryFailure
 from repro.core import RTR, RTRConfig
+from repro.core.phase1 import run_phase1
+from repro.errors import SimulationError
 from repro.failures import FailureScenario
-from repro.topology import Link, grid_topology
+from repro.geometry import Point
+from repro.topology import Link, Topology, grid_topology
 
 
 @pytest.fixture
@@ -68,6 +72,51 @@ class TestPhase1Retries:
         assert not phase1.complete and phase1.retries == 3
         # 0.5 + 1.0 + 2.0 of backoff are in the walk's cumulative duration.
         assert phase1.duration >= 3.5
+
+
+class TestPhase1DeadEnd:
+    """A mid-walk flap that cuts the only way back strands the walk.
+
+    Line 0-1-2 plus node 3 hanging off 0; node 3 fails, so 0 sweeps
+    toward 1 and 2.  Link 1-2 flaps down once the packet reaches 2, where
+    no live neighbor is left: the walk never returns to the initiator.
+    """
+
+    @pytest.fixture
+    def stranded(self):
+        topo = Topology("dead-end")
+        for node, (x, y) in enumerate([(0, 0), (100, 0), (200, 0), (0, 100)]):
+            topo.add_node(node, Point(x, y))
+        topo.add_link(0, 1)
+        topo.add_link(1, 2)
+        topo.add_link(0, 3)
+        scenario = FailureScenario(topo, failed_nodes=[3])
+        plan = FaultPlan(
+            seed=0,
+            secondary_failures=(SecondaryFailure(at_hop=2, link=(1, 2)),),
+        )
+        return topo, scenario, plan
+
+    def test_strict_walk_raises(self, stranded):
+        topo, scenario, plan = stranded
+        rtr = RTR(topo, scenario, fault_plan=plan)
+        with pytest.raises(SimulationError, match="stranded at 2"):
+            run_phase1(topo, rtr.view, 0, 3, rtr.engine, strict=True)
+
+    def test_degraded_walk_is_incomplete(self, stranded):
+        topo, scenario, plan = stranded
+        rtr = RTR(topo, scenario, fault_plan=plan)
+        result = run_phase1(topo, rtr.view, 0, 3, rtr.engine, strict=False)
+        assert result.walk == [0, 1, 2]
+        assert not result.complete
+        assert "stranded at 2" in result.incomplete_reason
+
+    def test_ladder_retries_the_stranded_walk(self, stranded):
+        topo, scenario, plan = stranded
+        phase1 = RTR(topo, scenario, fault_plan=plan).phase1_for(0, 3)
+        # The flap stays down, so the retry backs out of 1 and returns.
+        assert phase1.retries == 1
+        assert phase1.complete and phase1.walk == [0, 1, 0]
 
 
 class TestReinvocation:
