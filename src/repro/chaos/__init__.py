@@ -19,7 +19,6 @@ from .lowering import (
     NullStepMasks,
     RuntimeStepMasks,
     lower_walk_faults,
-    walk_context_vector_safe,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "NullStepMasks",
     "RuntimeStepMasks",
     "lower_walk_faults",
-    "walk_context_vector_safe",
 ]

@@ -1,24 +1,19 @@
 """Lowering fault plans onto the walk plane.
 
-The batched forwarding plane (:mod:`repro.simulator.batch`) advances many
-packets per step; a :class:`~repro.chaos.FaultPlan` perturbs walks
-per *transmission*: a loss draw before every hop, a shared hop clock (and
-corruption draw) after every hop, and detection state in the
+A :class:`~repro.chaos.FaultPlan` perturbs walks per *transmission*: a
+loss draw before every hop, a shared hop clock (and corruption draw)
+after every hop, and detection state in the
 :class:`~repro.chaos.DegradedLocalView` that evolves with that clock.
-This module is the single authority on how those faults meet the plane:
+This module is the single authority on how those faults meet the walk
+plane (:mod:`repro.simulator.batch`):
 
 * :func:`lower_walk_faults` lowers an engine's fault machinery into a
-  per-step mask object the scalar walk loops consult before each hop —
-  :class:`NullStepMasks` for the clean engine (no draw, vector-safe) and
+  per-step mask object the walk loops consult before each hop —
+  :class:`NullStepMasks` for the clean engine (no draw) and
   :class:`RuntimeStepMasks` for a chaos engine (one seeded RNG draw per
-  step, in walk order).
-* :func:`walk_context_vector_safe` answers whether a context may run on
-  the vectorized backend at all.  The loss/corruption streams are
-  *order-dependent* — each walk's draws must interleave exactly as the
-  per-packet reference would interleave them, and detection divert state
-  advances with the global hop clock — so any degraded context pins to
-  the sequential reference backend.  That is what keeps degraded walks
-  seed-identical no matter what ``REPRO_WALK`` says.
+  step, in walk order).  The draws are *order-dependent*, which is why
+  :class:`~repro.simulator.batch.WalkBatch` runs its walks sequentially
+  in insertion order.
 
 :class:`~repro.chaos.ChaosForwardingEngine` itself consults its lowered
 masks, so the injected-loss decision (and its message) has exactly one
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..failures import LocalView
 from ..simulator.engine import ForwardingEngine
 from ..simulator.packet import Packet
 from ..topology import Link
@@ -39,9 +33,7 @@ if TYPE_CHECKING:
 
 
 class NullStepMasks:
-    """The clean-engine lowering: no per-step faults, vector-safe."""
-
-    vector_safe = True
+    """The clean-engine lowering: no per-step faults."""
 
     def drop_reason(self, packet: Packet, next_node: int) -> Optional[str]:
         return None
@@ -51,11 +43,8 @@ class RuntimeStepMasks:
     """Per-step drop masks drawn from a seeded :class:`ChaosRuntime`.
 
     One loss draw per prospective transmission, consumed in walk order —
-    the defining property the batch plane must preserve, hence
-    ``vector_safe = False``.
+    the defining property the batch plane must preserve.
     """
-
-    vector_safe = False
 
     def __init__(self, runtime: "ChaosRuntime") -> None:
         self.runtime = runtime
@@ -93,23 +82,9 @@ def lower_walk_faults(engine: ForwardingEngine):
 class _HookStepMasks:
     """Adapter lowering a custom ``_chaos_check`` override."""
 
-    vector_safe = False
-
     def __init__(self, engine: ForwardingEngine) -> None:
         self.engine = engine
 
     def drop_reason(self, packet: Packet, next_node: int) -> Optional[str]:
         return self.engine._chaos_check(packet, next_node)
 
-
-def walk_context_vector_safe(engine: Optional[ForwardingEngine]) -> bool:
-    """Whether walks under ``engine`` may execute on the numpy backend.
-
-    Requires the exact reference engine (no chaos hooks, no subclass) and
-    the exact ground-truth :class:`LocalView` (no detection diverts): any
-    degraded surface makes per-step draws or divert state order-dependent,
-    which only the sequential reference backend reproduces.
-    """
-    if engine is None or type(engine) is not ForwardingEngine:
-        return False
-    return type(engine.view) is LocalView

@@ -70,7 +70,6 @@ class CSRView:
         "n",
         "lid_size",
         "np_cache",
-        "walk_np",
         "sweep",
     )
 
@@ -117,9 +116,6 @@ class CSRView:
         #: populated by ``npcsr.numpy_view`` (or preinstalled by the
         #: shared-memory attach path).  ``None`` until first use.
         self.np_cache = None
-        #: Lazily built pair-index cache for the batched walk plane
-        #: (``repro.simulator.batch._pair_index``).  ``None`` until first use.
-        self.walk_np = None
         #: Per-node sweep tables of RTR's right-hand rule
         #: (``repro.core.sweep.sweep_entry``), filled on first visit.
         self.sweep: Dict[int, tuple] = {}

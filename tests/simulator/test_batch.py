@@ -1,30 +1,23 @@
-"""Unit tests for the batched walk plane (repro.simulator.batch).
+"""Unit tests for the walk plane (repro.simulator.batch).
 
-Backend dispatch, parity of the vector backend against the reference
-loops (clocks compared bit-exactly via ``float.hex``), per-request error
-capture, and the observability surface.
+Walk outcomes of every spec kind run through a :class:`WalkBatch`,
+per-request error capture, the batch lifecycle, and the observability
+surface.
 """
 
 import pytest
 
 from repro import obs
-from repro.errors import ForwardingLoopError, SimulationError
+from repro.errors import ForwardingLoopError, SimulationError, UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
     ForwardingEngine,
     Packet,
     RecoveryAccounting,
     WalkBatch,
-    batched_walk_count,
-    numpy_walks_available,
-    walk_mode,
+    run_table_walk,
 )
-from repro.simulator import batch as batch_module
 from repro.topology import Link
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_walks_available(), reason="numpy not importable"
-)
 
 
 def make_engine(topo, failed_nodes=(), failed_links=()):
@@ -59,170 +52,67 @@ def table_fingerprint(packet, acc, outcome):
     )
 
 
-def run_route(engine, route, monkeypatch, mode, start=None):
-    monkeypatch.setenv("REPRO_WALK", mode)
-    packet = Packet(source=route[0] if start is None else start, destination=route[-1])
+def run_route(engine, route):
+    """One source route through a batch, and the same walk run standalone."""
+    source = route[0]
+    packet = Packet(source=source, destination=route[-1])
     acc = RecoveryAccounting()
     batch = WalkBatch(engine)
     handle = batch.add_route(packet, route, acc)
     outcome = batch.execute().result(handle)
-    return route_fingerprint(packet, acc, outcome)
+    alone = Packet(source=source, destination=route[-1])
+    alone_acc = RecoveryAccounting()
+    alone_outcome = engine.follow_source_route_outcome(alone, route, alone_acc)
+    assert route_fingerprint(packet, acc, outcome) == route_fingerprint(
+        alone, alone_acc, alone_outcome
+    )
+    return packet, acc, outcome
 
 
-def run_table(engine, start, table, destination, budget, monkeypatch, mode):
-    monkeypatch.setenv("REPRO_WALK", mode)
+def run_table(engine, start, table, destination, budget):
+    """One table walk through a batch, and the same walk run standalone."""
     packet = Packet(source=start, destination=destination)
     acc = RecoveryAccounting()
     batch = WalkBatch(engine)
     handle = batch.add_table_walk(packet, table, destination, budget, acc)
     outcome = batch.execute().result(handle)
-    return table_fingerprint(packet, acc, outcome)
+    alone = Packet(source=start, destination=destination)
+    alone_acc = RecoveryAccounting()
+    alone_outcome = run_table_walk(
+        engine, alone, table, destination, budget, alone_acc
+    )
+    assert table_fingerprint(packet, acc, outcome) == table_fingerprint(
+        alone, alone_acc, alone_outcome
+    )
+    return packet, acc, outcome
 
 
-class TestDispatch:
-    def test_walk_mode_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WALK", raising=False)
-        assert walk_mode() == "auto"
+class TestWalkOutcomes:
+    """Outcomes of each spec kind, identical to the walk run standalone."""
 
-    def test_invalid_mode_rejected(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "fortran")
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(Packet(source=0, destination=1), [0, 1], RecoveryAccounting())
-        with pytest.raises(SimulationError):
-            batch.execute()
+    def test_route_delivered(self, ring8):
+        packet, acc, outcome = run_route(make_engine(ring8), [0, 1, 2, 3])
+        assert outcome.delivered is True
+        assert outcome.drop_node is None and outcome.drop_reason is None
+        assert packet.at == 3
+        assert packet.recovery_hops == acc.hops_traveled == 3
+        assert len(acc.header_timeline) == 3
 
-    def test_python_mode_never_vectorizes(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
-        engine = make_engine(ring8)
-        batch = WalkBatch(engine)
-        handles = []
-        for _ in range(batch_module.AUTO_MIN_WALK_BATCH + 4):
-            handles.append(
-                batch.add_route(
-                    Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-                )
-            )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert all(batch.result(h).delivered for h in handles)
+    def test_route_blocked_midway(self, ring8):
+        engine = make_engine(ring8, failed_links=[Link.of(2, 3)])
+        packet, acc, outcome = run_route(engine, [0, 1, 2, 3, 4])
+        assert outcome.delivered is False
+        assert outcome.drop_node == 2
+        assert "route hop 2 -> 3 is unreachable" in outcome.drop_reason
+        assert packet.at == 2
+        assert acc.hops_traveled == 2
 
-    @needs_numpy
-    def test_numpy_mode_vectorizes_a_batch_of_one(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before + 1
-        assert batch.result(handle).delivered
-
-    @needs_numpy
-    def test_auto_below_threshold_stays_reference(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "auto")
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-
-    @needs_numpy
-    def test_auto_at_threshold_vectorizes(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "auto")
-        batch = WalkBatch(make_engine(ring8))
-        n = batch_module.AUTO_MIN_WALK_BATCH
-        for _ in range(n):
-            batch.add_route(
-                Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-            )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before + n
-
-    def test_numpy_mode_without_numpy_raises(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        monkeypatch.setattr(batch_module, "numpy_walks_available", lambda: False)
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        with pytest.raises(SimulationError, match="REPRO_WALK=numpy"):
-            batch.execute()
-
-    @needs_numpy
-    def test_callback_specs_never_vectorize(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_callback_walk(
-            Packet(source=0, destination=0),
-            lambda node, pkt: (node + 1) if node < 3 else None,
-            RecoveryAccounting(),
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert batch.result(handle).visited == [0, 1, 2, 3]
-
-    @needs_numpy
-    def test_chaos_context_never_vectorizes(self, ring8, monkeypatch):
-        from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
-
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        scenario = FailureScenario(ring8)
-        plan = FaultPlan(seed=7, packet_loss_rate=0.0)
-        runtime = ChaosRuntime(plan, scenario)
-        engine = ChaosForwardingEngine(
-            ring8, LocalView(scenario), runtime,
-            make_engine(ring8).delay_model,
-        )
-        batch = WalkBatch(engine)
-        handle = batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert batch.result(handle).delivered
-
-
-@needs_numpy
-class TestVectorParity:
-    """Bit-identical outcomes: numpy backend vs the reference loops."""
-
-    def test_route_delivered(self, ring8, monkeypatch):
-        route = [0, 1, 2, 3]
-        ref = run_route(make_engine(ring8), route, monkeypatch, "python")
-        vec = run_route(make_engine(ring8), route, monkeypatch, "numpy")
-        assert vec == ref
-        assert vec[5] is True  # delivered
-
-    def test_route_blocked_midway(self, ring8, monkeypatch):
-        failed = [Link.of(2, 3)]
-        route = [0, 1, 2, 3, 4]
-        ref = run_route(
-            make_engine(ring8, failed_links=failed), route, monkeypatch, "python"
-        )
-        vec = run_route(
-            make_engine(ring8, failed_links=failed), route, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        assert "route hop 2 -> 3 is unreachable" in vec[7]
-
-    def test_route_invalid_start_demotes_to_reference_error(
-        self, ring8, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
+    def test_route_invalid_start_raises(self, ring8):
         batch = WalkBatch(make_engine(ring8))
         handle = batch.add_route(
             Packet(source=0, destination=2), [1, 2], RecoveryAccounting()
         )
-        before = batched_walk_count()
         batch.execute()
-        assert batched_walk_count() == before
         with pytest.raises(ForwardingLoopError):
             batch.result(handle)
 
@@ -234,81 +124,120 @@ class TestVectorParity:
             ({0: 1, 1: 0}, 2, 5, "truncated"),
         ],
     )
-    def test_table_walk_statuses(
-        self, tiny_line, monkeypatch, table, destination, budget, expect
-    ):
-        ref = run_table(
-            make_engine(tiny_line), 0, table, destination, budget, monkeypatch, "python"
+    def test_table_walk_statuses(self, tiny_line, table, destination, budget, expect):
+        packet, acc, outcome = run_table(
+            make_engine(tiny_line), 0, table, destination, budget
         )
-        vec = run_table(
-            make_engine(tiny_line), 0, table, destination, budget, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        reached, truncated = vec[5], vec[8]
-        assert reached == (expect == "reached")
-        assert truncated == (expect == "truncated")
-
-    def test_table_walk_blocked_hop(self, tiny_line, monkeypatch):
-        failed = [Link.of(1, 2)]
-        args = (0, {0: 1, 1: 2}, 2, 40)
-        ref = run_table(
-            make_engine(tiny_line, failed_links=failed), *args, monkeypatch, "python"
-        )
-        vec = run_table(
-            make_engine(tiny_line, failed_links=failed), *args, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        assert "table hop 1 -> 2 is unreachable" in vec[7]
-
-    def test_table_walk_destination_on_budget_boundary(self, tiny_line, monkeypatch):
-        # Reaching the destination on exactly the budget-th hop truncates
-        # in the scalar loop (the destination check happens at the top of
-        # the next iteration, which never runs); lockstep must match.
-        args = (0, {0: 1, 1: 2}, 2, 2)
-        ref = run_table(make_engine(tiny_line), *args, monkeypatch, "python")
-        vec = run_table(make_engine(tiny_line), *args, monkeypatch, "numpy")
-        assert vec == ref
-        assert vec[8] is True  # truncated despite sitting on the destination
-
-    def test_table_with_non_adjacent_hop_demotes(self, tiny_line, monkeypatch):
-        # A table naming a non-adjacent hop cannot compile to arc lookups;
-        # the request demotes so the reference raises its exact error.
-        from repro.errors import UnknownLinkError
-
-        before = batched_walk_count()
-        for mode in ("python", "numpy"):
-            with pytest.raises(UnknownLinkError):
-                run_table(
-                    make_engine(tiny_line), 0, {0: 2}, 2, 40, monkeypatch, mode
-                )
-        assert batched_walk_count() == before
-
-    def test_mixed_batch(self, ring8, monkeypatch):
-        # Routes, tables, and a callback in one batch under numpy: each
-        # outcome identical to a fresh python-mode batch.
-        def scenario(mode):
-            monkeypatch.setenv("REPRO_WALK", mode)
-            engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
-            batch = WalkBatch(engine)
-            prints = []
-            p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
-            h1 = batch.add_route(p1, [0, 1, 2, 3], a1)
-            p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
-            h2 = batch.add_route(p2, [3, 4, 5, 6], a2)
-            p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
-            h3 = batch.add_table_walk(p3, {i: i + 1 for i in range(4)}, 4, 40, a3)
-            p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
-            h4 = batch.add_callback_walk(
-                p4, lambda node, pkt: None, a4
+        visited = {
+            "reached": [0, 1, 2],
+            "stuck": [0, 1],
+            "truncated": [0, 1, 0, 1, 0, 1],
+        }[expect]
+        assert outcome.visited == visited
+        assert outcome.reached == (expect == "reached")
+        assert outcome.truncated == (expect == "truncated")
+        assert packet.at == visited[-1]
+        assert acc.hops_traveled == len(visited) - 1
+        if expect == "reached":
+            assert outcome.drop_node is None
+        else:
+            assert outcome.drop_node == visited[-1]
+        if expect == "stuck":
+            assert outcome.drop_reason == "no table next hop at 1"
+        if expect == "truncated":
+            assert outcome.drop_reason == (
+                "table walk exceeded 5 hops without terminating"
             )
-            batch.execute()
-            prints.append(route_fingerprint(p1, a1, batch.result(h1)))
-            prints.append(route_fingerprint(p2, a2, batch.result(h2)))
-            prints.append(table_fingerprint(p3, a3, batch.result(h3)))
-            prints.append(tuple(batch.result(h4).visited))
-            return prints
 
-        assert scenario("numpy") == scenario("python")
+    def test_table_walk_blocked_hop(self, tiny_line):
+        engine = make_engine(tiny_line, failed_links=[Link.of(1, 2)])
+        packet, acc, outcome = run_table(engine, 0, {0: 1, 1: 2}, 2, 40)
+        assert outcome.visited == [0, 1]
+        assert not outcome.reached and not outcome.truncated
+        assert outcome.drop_node == 1
+        assert "table hop 1 -> 2 is unreachable" in outcome.drop_reason
+        assert acc.hops_traveled == 1
+
+    def test_table_walk_destination_on_budget_boundary(self, tiny_line):
+        # Reaching the destination on exactly the budget-th hop truncates:
+        # the destination check happens at the top of the next iteration,
+        # which never runs.
+        packet, acc, outcome = run_table(
+            make_engine(tiny_line), 0, {0: 1, 1: 2}, 2, 2
+        )
+        assert outcome.visited == [0, 1, 2]
+        assert packet.at == 2
+        assert outcome.reached is False
+        assert outcome.truncated is True
+
+    def test_table_with_non_adjacent_hop_raises(self, tiny_line):
+        batch = WalkBatch(make_engine(tiny_line))
+        handle = batch.add_table_walk(
+            Packet(source=0, destination=2), {0: 2}, 2, 40, RecoveryAccounting()
+        )
+        batch.execute()
+        with pytest.raises(UnknownLinkError):
+            batch.result(handle)
+
+    def test_callback_walk(self, ring8):
+        batch = WalkBatch(make_engine(ring8))
+        handle = batch.add_callback_walk(
+            Packet(source=0, destination=0),
+            lambda node, pkt: (node + 1) if node < 3 else None,
+            RecoveryAccounting(),
+        )
+        batch.execute()
+        assert batch.result(handle).visited == [0, 1, 2, 3]
+
+    def test_chaos_engine_route(self, ring8):
+        from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
+
+        scenario = FailureScenario(ring8)
+        runtime = ChaosRuntime(FaultPlan(seed=7, packet_loss_rate=0.0), scenario)
+        engine = ChaosForwardingEngine(ring8, LocalView(scenario), runtime)
+        batch = WalkBatch(engine)
+        handle = batch.add_route(
+            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
+        )
+        batch.execute()
+        assert batch.result(handle).delivered
+
+    def test_mixed_batch(self, ring8):
+        # Routes, a table walk, and a callback in one batch: each outcome
+        # is the one its handle asked for, in insertion order.
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        batch = WalkBatch(engine)
+        p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
+        h1 = batch.add_route(p1, [0, 1, 2, 3], a1)
+        p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
+        h2 = batch.add_route(p2, [3, 4, 5, 6], a2)
+        p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
+        h3 = batch.add_table_walk(p3, {i: i + 1 for i in range(4)}, 4, 40, a3)
+        p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
+        h4 = batch.add_callback_walk(p4, lambda node, pkt: None, a4)
+        batch.execute()
+        assert [h1, h2, h3, h4] == [0, 1, 2, 3]
+
+        r1 = batch.result(h1)
+        assert r1.delivered and p1.at == 3 and a1.hops_traveled == 3
+        r2 = batch.result(h2)
+        assert not r2.delivered and r2.drop_node == 4 and p2.at == 4
+        assert "route hop 4 -> 5 is unreachable" in r2.drop_reason
+        r3 = batch.result(h3)
+        assert r3.reached and r3.visited == [0, 1, 2, 3, 4]
+        assert batch.result(h4).visited == [7]
+
+        # Each walk alone on a fresh engine gives the same outcome.
+        alone = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        q1, b1 = Packet(source=0, destination=3), RecoveryAccounting()
+        o1 = alone.follow_source_route_outcome(q1, [0, 1, 2, 3], b1)
+        q2, b2 = Packet(source=3, destination=6), RecoveryAccounting()
+        o2 = alone.follow_source_route_outcome(q2, [3, 4, 5, 6], b2)
+        q3, b3 = Packet(source=0, destination=4), RecoveryAccounting()
+        o3 = run_table_walk(alone, q3, {i: i + 1 for i in range(4)}, 4, 40, b3)
+        assert route_fingerprint(p1, a1, r1) == route_fingerprint(q1, b1, o1)
+        assert route_fingerprint(p2, a2, r2) == route_fingerprint(q2, b2, o2)
+        assert table_fingerprint(p3, a3, r3) == table_fingerprint(q3, b3, o3)
 
 
 class TestLifecycle:
@@ -341,8 +270,7 @@ class TestLifecycle:
                 Packet(source=0, destination=1), [0, 1], RecoveryAccounting()
             )
 
-    def test_exceptions_are_captured_per_request(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
+    def test_exceptions_are_captured_per_request(self, ring8):
         batch = WalkBatch(make_engine(ring8))
 
         def exploding(node, pkt):
@@ -371,8 +299,7 @@ class TestObservability:
         if not prior:
             obs.disable()
 
-    def test_fallback_counter_and_batch_histogram(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
+    def test_fallback_counter_and_batch_histogram(self, ring8):
         batch = WalkBatch(make_engine(ring8))
         for _ in range(3):
             batch.add_route(
@@ -384,23 +311,9 @@ class TestObservability:
         hist = metrics["histograms"]["simulator.walks.batch_size"]
         assert hist["count"] == 1 and hist["sum"] == 3.0
 
-    @needs_numpy
-    def test_batched_counter(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        for _ in range(2):
-            batch.add_route(
-                Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-            )
-        batch.execute()
-        counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["simulator.walks.batched"] == 2
-        assert "simulator.walks.fallback" not in counters
-
-    def test_counters_visible_in_obs_report(self, ring8, monkeypatch):
+    def test_counters_visible_in_obs_report(self, ring8):
         # The `repro obs report` rendering must surface the walk-plane
         # counters and the batch-size histogram.
-        monkeypatch.setenv("REPRO_WALK", "python")
         batch = WalkBatch(make_engine(ring8))
         batch.add_route(
             Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
