@@ -31,10 +31,16 @@ BASE_CASES = 120 * SCALE
 QUICK_TOPOLOGIES = ("AS209", "AS1239", "AS3549")
 
 
-def emit(name: str, text: str) -> None:
-    """Print a regenerated table/series and persist it under results/."""
+def emit(name: str, text: str, write_file: bool = True) -> None:
+    """Print a regenerated table/series and persist it under results/.
+
+    ``write_file=False`` only prints, leaving the checked-in result file
+    untouched (the gate mode of the CI benches).
+    """
     banner = f"\n=== {name} ===\n{text}\n"
     print(banner)
+    if not write_file:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 

@@ -21,18 +21,20 @@ Asserted on every full run (the ISSUE acceptance bars):
   (it currently *gains* — the SS III-D re-invocations recover more than
   admission control sheds).
 
-Rows are merged into ``benchmarks/BENCH_congestion.json`` keyed by
-``variant@topology+lossRATE`` and mirrored to ``REPRO_STORE`` when set,
-so scheme-vs-utilization rankings are queryable with ``repro query
-trend`` across PRs.
+Rows are recorded to ``REPRO_STORE`` when set, keyed by
+``variant@topology+lossRATE``, so scheme-vs-utilization rankings are
+queryable with ``repro query trend`` across PRs.  Only ``--update`` (or
+a missing trajectory) rewrites the checked-in
+``benchmarks/BENCH_congestion.json`` and ``results/bench_congestion.txt``.
 
 ``REPRO_CONGESTION_SMOKE=1`` (the CI mode) keeps the full AS7018 cross
 and its assertions but skips the heavier ``scale:10000`` sweep.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_congestion.py
-    REPRO_CONGESTION_SMOKE=1 PYTHONPATH=src python benchmarks/bench_congestion.py
+    PYTHONPATH=src python benchmarks/bench_congestion.py --update
+    REPRO_CONGESTION_SMOKE=1 REPRO_STORE=congestion.sqlite \
+        PYTHONPATH=src python benchmarks/bench_congestion.py
 """
 
 from __future__ import annotations
@@ -122,8 +124,13 @@ def run_variant(
     return summarize_traffic(records[approach]).as_dict(), wall, sp
 
 
-def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> dict:
-    """All variants x chaos rungs on one topology; returns row dict."""
+def sweep_topology(
+    pinned: dict, loss_rates, lines: list, variants=VARIANTS, write: bool = False
+) -> dict:
+    """All variants x chaos rungs on one topology; returns row dict.
+
+    ``write`` also merges each row into the checked-in trajectory file.
+    """
     name = pinned["topology"]
     topo = _build_topology(name, pinned["seed"])
     matrix = generate_matrix(
@@ -159,6 +166,7 @@ def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> 
                     "congestion_free_pct": row["congestion_free_pct"],
                     "admission_dropped_demand": row["admission_dropped_demand"],
                 },
+                write_file=write,
             )
             lines.append(
                 f"{name:12s} loss={loss_rate:<5g} {variant:12s} "
@@ -175,8 +183,11 @@ def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> 
 def main(argv: list) -> int:
     failed = False
     lines: list = []
+    # Gate mode records to the REPRO_STORE run store only; --update (or a
+    # missing trajectory) refreshes the checked-in files.
+    write = "--update" in argv or not BENCH_CONGESTION_JSON.exists()
 
-    rows = sweep_topology(AS7018, LOSS_RATES, lines)
+    rows = sweep_topology(AS7018, LOSS_RATES, lines, write=write)
     rtr = rows[("rtr", 0.0)]
     penalty = rows[("rtr+penalty", 0.0)]
 
@@ -221,12 +232,13 @@ def main(argv: list) -> int:
             f"{[v[0] for v in scale_variants]} (r3 offline planning is "
             "O(links) Dijkstras at this size)"
         )
-        sweep_topology(SCALE, (0.0,), lines, variants=scale_variants)
+        sweep_topology(SCALE, (0.0,), lines, variants=scale_variants, write=write)
 
-    emit("bench_congestion", "\n".join(lines))
+    emit("bench_congestion", "\n".join(lines), write_file=write)
     if failed:
         return 1
-    print(f"congestion-bench: OK (trajectory: {BENCH_CONGESTION_JSON.name})")
+    mode = "trajectory refreshed" if write else "recorded to REPRO_STORE only"
+    print(f"congestion-bench: OK ({BENCH_CONGESTION_JSON.name}; {mode})")
     return 0
 
 

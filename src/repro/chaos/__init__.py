@@ -14,12 +14,7 @@ from .plan import FaultPlan, SecondaryFailure, SecondaryRepair
 from .runtime import ChaosRuntime
 from .degraded import DegradedLocalView
 from .engine import ChaosForwardingEngine
-from .lowering import (
-    NULL_STEP_MASKS,
-    NullStepMasks,
-    RuntimeStepMasks,
-    lower_walk_faults,
-)
+from .lowering import RuntimeStepMasks
 
 __all__ = [
     "FaultPlan",
@@ -28,8 +23,5 @@ __all__ = [
     "ChaosRuntime",
     "DegradedLocalView",
     "ChaosForwardingEngine",
-    "NULL_STEP_MASKS",
-    "NullStepMasks",
     "RuntimeStepMasks",
-    "lower_walk_faults",
 ]

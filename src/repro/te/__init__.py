@@ -28,6 +28,7 @@ from .penalty import (
     DEFAULT_UTILIZATION_CLIP,
     PENALTY_QUANT,
     LinkPenalty,
+    LivePenalty,
     recost_path,
 )
 from .metrics import (
@@ -45,6 +46,7 @@ __all__ = [
     "DEFAULT_UTILIZATION_CLIP",
     "PENALTY_QUANT",
     "LinkPenalty",
+    "LivePenalty",
     "recost_path",
     "UTILIZATION_BIN_EDGES",
     "congestion_free",

@@ -24,7 +24,7 @@ piling onto them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, Mapping, Optional, TYPE_CHECKING
 
 from ..routing import Path
 from ..topology import Link, Topology
@@ -120,8 +120,9 @@ class LinkPenalty:
         """The lid-indexed unit array the kernels consume (cached).
 
         The cache is sound because snapshots are immutable and bound to
-        one topology version: congestion-aware drivers build a fresh
-        snapshot per routing decision instead of mutating this one.
+        one topology version: congestion-aware drivers take a fresh
+        snapshot per routing decision (:meth:`LivePenalty.snapshot`)
+        instead of mutating this one.
         """
         if self._lid_cache is None:
             csr = topo.csr()
@@ -142,6 +143,73 @@ class LinkPenalty:
             f"LinkPenalty(links={len(self.units)}, "
             f"max_units={self.max_units()}, quant={self.quant})"
         )
+
+
+class LivePenalty:
+    """Penalty units kept in step with a changing load map.
+
+    A link's units depend on that link's load alone, so after a routing
+    decision adds load, re-quantizing just the links it touched
+    (:meth:`refresh`) leaves :attr:`units` and :attr:`lid` equal to a
+    full :meth:`LinkPenalty.from_loads` pass over the same loads.  The
+    loads themselves live in the bound
+    :class:`~repro.traffic.capacity.LinkLoadMap`, whose per-link sums
+    keep their chronological order, so every :meth:`snapshot` is the
+    snapshot a from-scratch rebuild would have produced.
+    """
+
+    __slots__ = ("load_map", "units", "lid", "alpha", "exponent", "clip", "quant")
+
+    def __init__(
+        self,
+        load_map: "LinkLoadMap",
+        alpha: float = DEFAULT_PENALTY_ALPHA,
+        exponent: float = DEFAULT_PENALTY_EXPONENT,
+        clip: float = DEFAULT_UTILIZATION_CLIP,
+        quant: int = PENALTY_QUANT,
+    ) -> None:
+        seed = LinkPenalty.from_load_map(
+            load_map, alpha=alpha, exponent=exponent, clip=clip, quant=quant
+        )
+        self.load_map = load_map
+        self.units: Dict[Link, int] = seed.units
+        self.lid: List[int] = seed.lid_units(load_map.topo)
+        self.alpha = alpha
+        self.exponent = exponent
+        self.clip = clip
+        self.quant = quant
+
+    def refresh(self, links: Iterable[Link]) -> None:
+        """Re-quantize ``links`` after their loads changed."""
+        topo = self.load_map.topo
+        capacity_of = topo.link_capacity
+        load = self.load_map.load
+        pair_lid = topo.csr().pair_lid
+        units = self.units
+        lid_units = self.lid
+        params = (self.alpha, self.exponent, self.clip, self.quant)
+        for link in links:
+            capacity = capacity_of(link)
+            if capacity is None or capacity <= 0.0:
+                continue
+            u = penalty_units(load(link) / capacity, *params)
+            if u > 0:
+                units[link] = u
+            else:
+                units.pop(link, None)
+            lid = pair_lid.get(link)
+            if lid is not None:
+                lid_units[lid] = u
+
+    def snapshot(self) -> LinkPenalty:
+        """An immutable copy of the current units for one routing decision."""
+        # Every live unit is positive, so the constructor's filter is
+        # skipped: a plain copy of each structure is the snapshot.
+        penalty = LinkPenalty.__new__(LinkPenalty)
+        penalty.units = dict(self.units)
+        penalty.quant = self.quant
+        penalty._lid_cache = list(self.lid)
+        return penalty
 
 
 def recost_path(topo: Topology, path: Path) -> Path:
@@ -169,6 +237,7 @@ __all__ = [
     "DEFAULT_PENALTY_EXPONENT",
     "DEFAULT_UTILIZATION_CLIP",
     "LinkPenalty",
+    "LivePenalty",
     "penalty_units",
     "recost_path",
     "total_units",

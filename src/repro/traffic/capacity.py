@@ -91,13 +91,23 @@ class LinkLoadMap:
         self.topo = topo
         self._loads: Dict[Link, float] = {}
 
+    def copy(self) -> "LinkLoadMap":
+        """An independent map with the same loads (same topology)."""
+        clone = LinkLoadMap(self.topo)
+        clone._loads = dict(self._loads)
+        return clone
+
     def add_path(self, path: Path, demand: float) -> None:
         """Route ``demand`` along every link of ``path``."""
+        self.add_links([Link.of(a, b) for a, b in path.hops()], demand)
+
+    def add_links(self, links: Iterable[Link], demand: float) -> None:
+        """Add ``demand`` to each of ``links``, in order."""
         if demand <= 0.0:
             return
-        for a, b in path.hops():
-            link = Link.of(a, b)
-            self._loads[link] = self._loads.get(link, 0.0) + demand
+        loads = self._loads
+        for link in links:
+            loads[link] = loads.get(link, 0.0) + demand
 
     def add_link(self, link: Link, demand: float) -> None:
         """Add ``demand`` to one link."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..baselines import Oracle
@@ -36,11 +36,12 @@ from ..core import RTRConfig
 from ..eval.cases import CaseSet, TestCase
 from ..eval.metrics import CaseRecord
 from ..eval.runner import EvaluationRunner
-from ..failures import FailureScenario, LocalView
+from ..failures import FailureScenario
 from ..routing import RoutingTable, SPTCache
+from ..simulator import RecoveryResult
 from ..topology import Link, Topology
 from ..te.metrics import overload_attribution
-from ..te.penalty import LinkPenalty
+from ..te.penalty import LivePenalty
 from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities
 from .flows import FlowSet
 from .metrics import TrafficScenarioRecord, safe_div
@@ -86,16 +87,20 @@ def classify_pairs(
     next-hop chain crosses a failed adjacency; the first router with the
     broken next hop is its recovery initiator.  The walk is memoized per
     destination (a node's verdict settles every pair routed through it),
-    mirroring :func:`repro.eval.cases.count_failed_routing_paths`.
+    mirroring :func:`repro.eval.cases.count_failed_routing_paths`.  It
+    follows the destination tree's parent map and probes the scenario's
+    interned failed-link flags — the answers of
+    :meth:`~repro.failures.LocalView.is_neighbor_reachable` on each hop.
     """
-    view = LocalView(scenario)
+    failed = scenario.failed_link_flags()
+    pair_lid = scenario.topo.csr().pair_lid
+    failed_nodes = scenario.failed_nodes
     disrupted: List[DisruptedPair] = []
     intact: Dict[int, Dict[int, float]] = {}
     failed_demand: List[float] = []
     failed_flows = 0
     unrouted: List[float] = []
 
-    # verdict[v]: None = path from v survives; otherwise the initiator id.
     by_destination: Dict[int, List] = {}
     for batch in flow_set.batches():
         by_destination.setdefault(batch.destination, []).append(batch)
@@ -107,19 +112,23 @@ def classify_pairs(
 
     for destination in sorted(by_destination):
         tree = routing.tree_to(destination)
-        verdict: Dict[int, Optional[int]] = {
-            destination: None if scenario.is_node_live(destination) else destination
-        }
+        parent = tree.parent
+        reached = tree.dist
+        # verdict[v]: None = path from v survives; otherwise the initiator.
         # A failed destination never terminates a walk cleanly: every
         # adjacency into it is down, so the last live hop is the
-        # initiator.  The sentinel above is never consulted in that case.
+        # initiator.  Its sentinel below is never consulted in that case.
+        verdict: Dict[int, Optional[int]] = {
+            destination: destination if destination in failed_nodes else None
+        }
+        survivors: Dict[int, float] = {}
         for batch in by_destination[destination]:
             source = batch.source
-            if not scenario.is_node_live(source):
+            if source in failed_nodes:
                 failed_demand.append(batch.demand)
                 failed_flows += batch.flows
                 continue
-            if not tree.reaches(source):
+            if source not in reached:
                 unrouted.append(batch.demand)
                 continue
             chain: List[int] = []
@@ -127,8 +136,8 @@ def classify_pairs(
             outcome: Optional[int] = None
             while node not in verdict:
                 chain.append(node)
-                nxt = tree.next_hop(node)
-                if nxt is None or not view.is_neighbor_reachable(node, nxt):
+                nxt = parent.get(node)
+                if nxt is None or failed[pair_lid[(node, nxt)]]:
                     # nxt is None only at the tree root, and a live,
                     # reached destination is pre-seeded — so this is the
                     # first broken adjacency: ``node`` initiates recovery.
@@ -140,7 +149,7 @@ def classify_pairs(
             for visited in chain:
                 verdict[visited] = outcome
             if outcome is None:
-                intact.setdefault(destination, {})[source] = batch.demand
+                survivors[source] = batch.demand
             else:
                 disrupted.append(
                     DisruptedPair(
@@ -151,6 +160,8 @@ def classify_pairs(
                         flows=batch.flows,
                     )
                 )
+        if survivors:
+            intact[destination] = survivors
     return PairClassification(
         disrupted=disrupted,
         intact_by_destination=intact,
@@ -256,6 +267,10 @@ class TrafficEngine:
                 sum(p.flows for p in classification.disrupted),
             )
             groups = self._group_pairs(classification.disrupted)
+            # Per-scenario load state, read-only for every approach (each
+            # starts from a copy) and dropped when the scenario ends.
+            prefixes = self._prefix_walks(groups)
+            intact = self._intact_loads(classification)
             cases = self._cases_for_groups(scenario, groups)
             case_set = CaseSet(
                 topo=self.topo,
@@ -265,7 +280,7 @@ class TrafficEngine:
             )
             if self.congestion_aware:
                 records = self._run_cases_congestion_aware(
-                    scenario, cases, groups, classification
+                    scenario, cases, groups, prefixes, intact
                 )
             else:
                 # One convergence window per scenario: planning schemes
@@ -279,6 +294,8 @@ class TrafficEngine:
                     scenario_index,
                     classification,
                     groups,
+                    prefixes,
+                    intact,
                     records[approach],
                 )
         return out
@@ -303,7 +320,8 @@ class TrafficEngine:
         scenario: FailureScenario,
         cases: Sequence[TestCase],
         groups: Dict[Tuple[int, int], List[DisruptedPair]],
-        classification: PairClassification,
+        prefixes: Dict[Tuple[int, int], List[Tuple[Link, ...]]],
+        intact: LinkLoadMap,
     ) -> Dict[str, List[CaseRecord]]:
         """Run cases with live load feedback into path selection.
 
@@ -315,8 +333,10 @@ class TrafficEngine:
         snapshot of everything routed so far, so each recovery steers
         around the links earlier ones loaded — including the same
         initiator's own previous recoveries.  State is per-scenario (the
-        map starts from intact loads), which keeps serial and sharded
-        sweeps identical.
+        map starts from a copy of the intact loads), which keeps serial
+        and sharded sweeps identical.  The snapshot comes from a
+        :class:`~repro.te.penalty.LivePenalty` that re-quantizes only
+        the links each case loaded, which equals re-quantizing them all.
 
         This path never batches walks: each case's route depends on the
         loads of every earlier delivery, so compiling a window of plans
@@ -329,21 +349,25 @@ class TrafficEngine:
         for name in self.approaches:
             instance = self.runner.schemes[name].instantiate(scenario)
             set_penalty = getattr(instance.protocol, "set_link_penalty", None)
-            loads = self._intact_loads(classification)
+            loads = intact.copy()
+            live = (
+                LivePenalty(
+                    loads,
+                    alpha=config.penalty_alpha,
+                    exponent=config.penalty_exponent,
+                    clip=config.penalty_utilization_clip,
+                )
+                if set_penalty is not None
+                else None
+            )
             out: List[CaseRecord] = []
             for case in cases:
                 obs.inc(self.runner._case_counters[name])
-                if set_penalty is not None:
-                    set_penalty(
-                        LinkPenalty.from_load_map(
-                            loads,
-                            alpha=config.penalty_alpha,
-                            exponent=config.penalty_exponent,
-                            clip=config.penalty_utilization_clip,
-                        )
-                    )
+                if live is not None:
+                    set_penalty(live.snapshot())
                 result = self.runner._recover_one(instance, name, case)
-                group = groups[(case.initiator, case.destination)]
+                key = (case.initiator, case.destination)
+                group = groups[key]
                 group_demand = math.fsum(p.demand for p in group)
                 if (
                     self.utilization_cap is not None
@@ -364,10 +388,11 @@ class TrafficEngine:
                         admission_dropped=True,
                     )
                 out.append(CaseRecord(case=case, result=result))
-                for pair in group:
-                    self._add_prefix_load(loads, pair)
-                if result.delivered and result.path is not None:
-                    loads.add_path(result.path, group_demand)
+                touched = self._load_group(
+                    loads, group, prefixes[key], result, group_demand
+                )
+                if live is not None:
+                    live.refresh(set(touched))
             records[name] = out
         return records
 
@@ -395,7 +420,8 @@ class TrafficEngine:
         """Default-path loads of the pairs the failure did not disrupt.
 
         One batched tree pass per destination, destinations in sorted
-        order (deterministic float accumulation).
+        order (deterministic float accumulation); computed once per
+        scenario and copied by every consumer.
         """
         loads = LinkLoadMap(self.topo)
         for destination in sorted(classification.intact_by_destination):
@@ -416,6 +442,59 @@ class TrafficEngine:
         for pair in disrupted:
             groups.setdefault((pair.initiator, pair.destination), []).append(pair)
         return groups
+
+    def _prefix_walks(
+        self, groups: Dict[Tuple[int, int], List[DisruptedPair]]
+    ) -> Dict[Tuple[int, int], List[Tuple[Link, ...]]]:
+        """Each pair's surviving default-path prefix source -> initiator.
+
+        Walked once per scenario; the lists align with ``groups``.  Pairs
+        of one group share the destination tree and the initiator, so a
+        node's prefix is memoized for every later pair routed through it.
+        """
+        prefixes: Dict[Tuple[int, int], List[Tuple[Link, ...]]] = {}
+        for (initiator, destination), group in groups.items():
+            parent = self.routing.tree_to(destination).parent
+            memo: Dict[int, Tuple[Link, ...]] = {initiator: ()}
+            walks: List[Tuple[Link, ...]] = []
+            for pair in group:
+                chain: List[int] = []
+                node = pair.source
+                # The classification walk got through every hop.
+                while node not in memo:
+                    chain.append(node)
+                    node = parent[node]
+                prefix = memo[node]
+                for visited in reversed(chain):
+                    prefix = (Link.of(visited, parent[visited]),) + prefix
+                    memo[visited] = prefix
+                walks.append(prefix)
+            prefixes[(initiator, destination)] = walks
+        return prefixes
+
+    @staticmethod
+    def _load_group(
+        loads: LinkLoadMap,
+        group: Sequence[DisruptedPair],
+        walks: Sequence[Tuple[Link, ...]],
+        result: RecoveryResult,
+        group_demand: float,
+    ) -> List[Link]:
+        """Add one group's post-recovery load; returns the links loaded.
+
+        The surviving prefix up to the initiator carries each pair's
+        traffic either way; the recovery path carries the group onward
+        only when delivery succeeded.
+        """
+        touched: List[Link] = []
+        for pair, links in zip(group, walks):
+            loads.add_links(links, pair.demand)
+            touched.extend(links)
+        if result.delivered and result.path is not None:
+            path_links = [Link.of(a, b) for a, b in result.path.hops()]
+            loads.add_links(path_links, group_demand)
+            touched.extend(path_links)
+        return touched
 
     def _cases_for_groups(
         self,
@@ -447,6 +526,8 @@ class TrafficEngine:
         scenario_index: int,
         classification: PairClassification,
         groups: Dict[Tuple[int, int], List[DisruptedPair]],
+        prefixes: Dict[Tuple[int, int], List[Tuple[Link, ...]]],
+        intact: LinkLoadMap,
         case_records: Sequence[CaseRecord],
     ) -> TrafficScenarioRecord:
         """Multiply per-case outcomes by their member pairs' traffic."""
@@ -470,7 +551,7 @@ class TrafficEngine:
         delivered_flows = 0
 
         # Surviving pairs keep their default paths.
-        loads = self._intact_loads(classification)
+        loads = intact.copy()
 
         for key in sorted(groups):
             record = by_case[key]
@@ -506,19 +587,13 @@ class TrafficEngine:
             # still in flight (§IV-B delay model): rate × window.
             if result.phase1_duration > 0.0:
                 phase1_loss.append(group_demand * result.phase1_duration)
-            # Post-recovery load: the surviving prefix up to the initiator
-            # carries the pair's traffic either way; the recovery path
-            # carries it onward only when delivery succeeded.
-            for pair in group:
-                self._add_prefix_load(loads, pair)
-            if result.delivered and result.path is not None:
-                loads.add_path(result.path, group_demand)
+            self._load_group(loads, group, prefixes[key], result, group_demand)
 
         overloaded = loads.overloaded_links()
         record = TrafficScenarioRecord(
             utilization_hist=loads.utilization_cdf(),
             overload_attribution=self._attribute_overloads(
-                loads, overloaded, groups, by_case
+                loads, overloaded, groups, prefixes, by_case
             ),
             approach=approach,
             scenario_index=scenario_index,
@@ -561,6 +636,7 @@ class TrafficEngine:
         loads: LinkLoadMap,
         overloaded: Sequence[Tuple[Link, float]],
         groups: Dict[Tuple[int, int], List[DisruptedPair]],
+        prefixes: Dict[Tuple[int, int], List[Tuple[Link, ...]]],
         by_case: Dict[Tuple[int, int], CaseRecord],
     ) -> Tuple:
         """Top-k overload attribution (empty when nothing is overloaded).
@@ -585,8 +661,8 @@ class TrafficEngine:
 
         for key in sorted(groups):
             group = groups[key]
-            for pair in group:
-                for link in self._prefix_links(pair):
+            for pair, links in zip(group, prefixes[key]):
+                for link in links:
                     if link in top:
                         charge(link, pair.source, pair.destination, pair.demand)
             result = by_case[key].result
@@ -599,20 +675,3 @@ class TrafficEngine:
                                 link, pair.source, pair.destination, pair.demand
                             )
         return overload_attribution(loads, contributions)
-
-    def _prefix_links(self, pair: DisruptedPair) -> Iterator[Link]:
-        """Links of the surviving default-path prefix source -> initiator."""
-        if pair.source == pair.initiator:
-            return
-        tree = self.routing.tree_to(pair.destination)
-        node = pair.source
-        while node != pair.initiator:
-            nxt = tree.next_hop(node)
-            assert nxt is not None  # the classification walk got through
-            yield Link.of(node, nxt)
-            node = nxt
-
-    def _add_prefix_load(self, loads: LinkLoadMap, pair: DisruptedPair) -> None:
-        """Load the surviving default-path prefix source -> initiator."""
-        for link in self._prefix_links(pair):
-            loads.add_link(link, pair.demand)

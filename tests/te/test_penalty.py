@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point
 from repro.routing import Path, penalized_shortest_path_tree, shortest_path_tree
@@ -19,11 +21,13 @@ from repro.te.penalty import (
     DEFAULT_UTILIZATION_CLIP,
     PENALTY_QUANT,
     LinkPenalty,
+    LivePenalty,
     penalty_units,
     recost_path,
     total_units,
 )
-from repro.topology import Link, Topology, npcsr
+from repro.topology import Link, Topology, grid_topology, npcsr
+from repro.traffic import LinkLoadMap
 
 numpy_missing = npcsr.numpy_or_none() is None
 needs_numpy = pytest.mark.skipif(numpy_missing, reason="numpy not installed")
@@ -98,6 +102,69 @@ class TestLinkPenalty:
     def test_total_units_fingerprint(self):
         assert total_units({Link.of(0, 1): 3, Link.of(1, 2): 4}) == 7
         assert total_units({}) == 0
+
+
+class TestLivePenalty:
+    """Incremental re-quantization equals a full rebuild after every step."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_equals_from_loads_after_every_step(self, data):
+        topo = grid_topology(3, 3)
+        links = sorted(topo.links())
+        # ``None`` leaves a link without capacity: it is never penalized.
+        capacities = data.draw(
+            st.lists(
+                st.one_of(st.none(), st.floats(0.5, 20.0)),
+                min_size=len(links),
+                max_size=len(links),
+            )
+        )
+        for link, capacity in zip(links, capacities):
+            if capacity is not None:
+                topo.set_link_capacity(link, capacity)
+        loads = LinkLoadMap(topo)
+        # Loads up to 60 against capacities from 0.5 run far past the clip.
+        demand = st.floats(0.0, 60.0)
+        loads.merge_loads(
+            data.draw(st.dictionaries(st.sampled_from(links), demand, max_size=4))
+        )
+        live = LivePenalty(loads)
+        previous = None
+        steps = data.draw(st.integers(1, 12))
+        for _ in range(steps):
+            kind = data.draw(st.sampled_from(["link", "path", "shed"]))
+            if kind == "link":
+                link = data.draw(st.sampled_from(links))
+                loads.add_link(link, data.draw(demand))
+                touched = [link]
+            elif kind == "shed":
+                # A load that falls must lose its units again.
+                link = data.draw(st.sampled_from(links))
+                loads.merge_loads({link: -data.draw(demand)})
+                touched = [link]
+            else:
+                # A random walk (revisits allowed) stands in for a path.
+                nodes = [data.draw(st.sampled_from(sorted(topo.nodes())))]
+                for _ in range(data.draw(st.integers(1, 6))):
+                    nodes.append(
+                        data.draw(st.sampled_from(sorted(topo.neighbors(nodes[-1]))))
+                    )
+                path = Path(tuple(nodes), 0.0)
+                loads.add_path(path, data.draw(demand))
+                touched = [Link.of(a, b) for a, b in path.hops()]
+            live.refresh(touched)
+            snapshot = live.snapshot()
+            expected = LinkPenalty.from_loads(topo, loads.loads())
+            assert snapshot.units == expected.units
+            assert snapshot.lid_units(topo) == expected.lid_units(topo)
+            assert snapshot.max_units() <= penalty_units(DEFAULT_UTILIZATION_CLIP)
+            if previous is not None:
+                # Snapshots are copies: later refreshes never reach them.
+                old_snapshot, old_expected = previous
+                assert old_snapshot.units == old_expected.units
+                assert old_snapshot.lid_units(topo) == old_expected.lid_units(topo)
+            previous = (snapshot, expected)
 
 
 class TestPenalizedTree:

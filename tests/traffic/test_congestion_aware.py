@@ -10,6 +10,8 @@ Covers the end-to-end contract of ``TrafficEngine(congestion_aware=...)``:
   bit-for-bit;
 * ``utilization_cap`` admission control sheds demand instead of
   overloading provisioned links, and its validation errors fire;
+* the per-scenario load state (intact loads, prefix walks) is computed
+  once and never leaks from one approach into the next;
 * the provisioning layer rejects non-positive headroom.
 """
 
@@ -19,10 +21,12 @@ import pytest
 
 from repro.eval.experiments import traffic_weighted_table3
 from repro.eval.parallel import parallel_traffic
+from repro.routing import RoutingTable
 from repro.traffic import (
     TrafficEngine,
     TrafficMatrix,
     aggregate_flows,
+    classify_pairs,
     provision_capacities,
     summarize_traffic,
     uniform_matrix,
@@ -113,6 +117,61 @@ class TestCongestionAwareSweep:
             "admission_dropped_demand",
         ):
             assert key in row
+
+
+@pytest.mark.parametrize("congestion_aware", [False, True])
+class TestPerScenarioLoadState:
+    def test_two_approaches_equal_one_engine_each(
+        self, paper_topo, paper_scenario, flow_set, congestion_aware
+    ):
+        # Each approach must start from the intact loads alone: a shared
+        # map or prefix list mutated by RTR would leak into FCP's record.
+        both = TrafficEngine(
+            paper_topo,
+            flow_set,
+            approaches=("RTR", "FCP"),
+            congestion_aware=congestion_aware,
+        ).run_scenario(paper_scenario)
+        for approach in ("RTR", "FCP"):
+            alone = TrafficEngine(
+                paper_topo,
+                flow_set,
+                approaches=(approach,),
+                congestion_aware=congestion_aware,
+            ).run_scenario(paper_scenario)
+            assert both[approach] == alone[approach]
+            assert both[approach].delivered_demand > 0.0
+
+    @pytest.mark.parametrize("approaches", [("RTR",), ("RTR", "FCP")])
+    def test_intact_loads_routed_once_per_scenario(
+        self,
+        paper_topo,
+        paper_scenario,
+        flow_set,
+        monkeypatch,
+        congestion_aware,
+        approaches,
+    ):
+        engine = TrafficEngine(
+            paper_topo,
+            flow_set,
+            approaches=approaches,
+            congestion_aware=congestion_aware,
+        )
+        intact = classify_pairs(
+            paper_topo, engine.routing, paper_scenario, flow_set
+        ).intact_by_destination
+        calls = []
+        original = RoutingTable.edge_loads_to
+
+        def counting(self, destination, demands):
+            calls.append(destination)
+            return original(self, destination, demands)
+
+        monkeypatch.setattr(RoutingTable, "edge_loads_to", counting)
+        engine.run_scenario(paper_scenario)
+        assert intact
+        assert sorted(calls) == sorted(intact)
 
 
 class TestAdmissionControl:
